@@ -2,6 +2,9 @@
 # Runs the micro benchmarks and records the results as BENCH_micro.json at
 # the repo root, so the performance trajectory is tracked across PRs. The
 # file contains the pipeline micro benchmarks (bench_micro_pipeline)
+# and the partitioning kernels (bench_micro_partitioning:
+# CreatePartitions per algorithm, the snapshot build, the lazy-heap
+# ablation, one whole repartition round and the PartitionSet copy),
 # followed by the serving-layer benchmarks (bench_serve_bench), the
 # execution-substrate comparison (bench_runtime_bench: simulation vs
 # threaded vs pool at 1/2/4/8 workers) and the telemetry overhead suite
@@ -20,13 +23,14 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-${REPO_ROOT}/build}"
 PIPELINE_BIN="${BUILD_DIR}/bench_micro_pipeline"
+PARTITIONING_BIN="${BUILD_DIR}/bench_micro_partitioning"
 SERVE_BIN="${BUILD_DIR}/bench_serve_bench"
 RUNTIME_BIN="${BUILD_DIR}/bench_runtime_bench"
 TELEMETRY_BIN="${BUILD_DIR}/bench_telemetry_bench"
 NET_BIN="${BUILD_DIR}/bench_net_bench"
 
-for bin in "${PIPELINE_BIN}" "${SERVE_BIN}" "${RUNTIME_BIN}" \
-           "${TELEMETRY_BIN}" "${NET_BIN}"; do
+for bin in "${PIPELINE_BIN}" "${PARTITIONING_BIN}" "${SERVE_BIN}" \
+           "${RUNTIME_BIN}" "${TELEMETRY_BIN}" "${NET_BIN}"; do
   if [[ ! -x "${bin}" ]]; then
     echo "error: ${bin} not found — build first:" >&2
     echo "  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j" >&2
@@ -60,6 +64,11 @@ trap 'rm -rf "${TMP_DIR}"' EXIT
   --benchmark_out="${TMP_DIR}/pipeline.json" \
   --benchmark_out_format=json
 
+"${PARTITIONING_BIN}" \
+  --benchmark_format=json \
+  --benchmark_out="${TMP_DIR}/partitioning.json" \
+  --benchmark_out_format=json
+
 "${SERVE_BIN}" \
   --benchmark_format=json \
   --benchmark_out="${TMP_DIR}/serve.json" \
@@ -90,14 +99,16 @@ trap 'rm -rf "${TMP_DIR}"' EXIT
 if ! command -v python3 > /dev/null; then
   echo "error: python3 is required to merge the benchmark JSON documents;" >&2
   echo "BENCH_micro.json left untouched. Raw outputs:" >&2
-  echo "  ${TMP_DIR}/pipeline.json ${TMP_DIR}/serve.json" \
+  echo "  ${TMP_DIR}/pipeline.json ${TMP_DIR}/partitioning.json" \
+       "${TMP_DIR}/serve.json" \
        "${TMP_DIR}/runtime.json ${TMP_DIR}/telemetry.json" \
        "${TMP_DIR}/net.json" >&2
   trap - EXIT  # Keep the raw outputs around for manual merging.
   exit 1
 fi
 
-python3 - "${TMP_DIR}/pipeline.json" "${TMP_DIR}/serve.json" \
+python3 - "${TMP_DIR}/pipeline.json" "${TMP_DIR}/partitioning.json" \
+    "${TMP_DIR}/serve.json" \
     "${TMP_DIR}/runtime.json" "${TMP_DIR}/telemetry.json" \
     "${TMP_DIR}/net.json" \
     "${REPO_ROOT}/BENCH_micro.json" <<'PY'
@@ -106,8 +117,8 @@ import os
 import re
 import sys
 
-(pipeline_path, serve_path, runtime_path, telemetry_path, net_path,
- out_path) = sys.argv[1:7]
+(pipeline_path, partitioning_path, serve_path, runtime_path,
+ telemetry_path, net_path, out_path) = sys.argv[1:8]
 # Refuse to merge non-Release numbers into the committed document. Two
 # signals, strongest wins:
 #  * context.corrtrack_build_type — our own attestation (bench_main.h,
@@ -119,8 +130,8 @@ import sys
 #    compiled. A debug harness library (common for distro packages) only
 #    slows the measurement scaffolding, so with a Release attestation it
 #    is annotated, not fatal; without one, "debug" here is fatal.
-for path in (pipeline_path, serve_path, runtime_path, telemetry_path,
-             net_path):
+for path in (pipeline_path, partitioning_path, serve_path, runtime_path,
+             telemetry_path, net_path):
     with open(path) as f:
         ctx = json.load(f).get("context", {})
     corrtrack_build = ctx.get("corrtrack_build_type", "")
@@ -135,7 +146,8 @@ for path in (pipeline_path, serve_path, runtime_path, telemetry_path,
 with open(pipeline_path) as f:
     merged = json.load(f)
 worker_counts = set()
-for path in (serve_path, runtime_path, telemetry_path, net_path):
+for path in (partitioning_path, serve_path, runtime_path, telemetry_path,
+             net_path):
     with open(path) as f:
         benchmarks = json.load(f)["benchmarks"]
     merged["benchmarks"].extend(benchmarks)
@@ -223,6 +235,6 @@ with open(out_path, "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
 PY
-echo "wrote ${REPO_ROOT}/BENCH_micro.json (pipeline + serve + runtime +" \
-     "telemetry + net; host cores, traced-pipeline overhead, net batching" \
+echo "wrote ${REPO_ROOT}/BENCH_micro.json (pipeline + partitioning + serve +" \
+     "runtime + telemetry + net; host cores, traced-pipeline overhead, net batching" \
      "speedup and overload p99 ratio in context)"

@@ -3,17 +3,10 @@
 #include <algorithm>
 
 #include "core/check.h"
+#include "core/inlined_vector.h"
 #include "core/union_find.h"
 
 namespace corrtrack {
-
-namespace {
-const std::vector<uint32_t>& EmptyIndexVector() {
-  static const std::vector<uint32_t>* const kEmpty =
-      new std::vector<uint32_t>();
-  return *kEmpty;
-}
-}  // namespace
 
 CooccurrenceSnapshot CooccurrenceSnapshot::FromWeightedTagsets(
     std::vector<std::pair<TagSet, uint64_t>> weighted) {
@@ -66,7 +59,6 @@ CooccurrenceSnapshot::CooccurrenceSnapshot(
   }
   BuildTagIndex();
   ComputeTagsetLoads();
-  BuildComponents();
 }
 
 uint32_t CooccurrenceSnapshot::LocalIndex(TagId tag) const {
@@ -76,40 +68,63 @@ uint32_t CooccurrenceSnapshot::LocalIndex(TagId tag) const {
 }
 
 void CooccurrenceSnapshot::BuildTagIndex() {
-  // Pass 1: distinct tags, ascending — the sorted-vector index.
-  for (const TagsetStats& stats : tagsets_) {
-    for (TagId t : stats.tags) tags_.push_back(t);
+  // One sort of (tag, occurrence) keys yields everything: the distinct tags
+  // in ascending order (local ids), each occurrence's local id, and — since
+  // occurrences of one tag come out in tagset order — the posting lists.
+  tagset_offsets_.resize(tagsets_.size() + 1);
+  size_t occurrences = 0;
+  for (size_t i = 0; i < tagsets_.size(); ++i) {
+    tagset_offsets_[i] = static_cast<uint32_t>(occurrences);
+    occurrences += tagsets_[i].tags.size();
   }
-  std::sort(tags_.begin(), tags_.end());
-  tags_.erase(std::unique(tags_.begin(), tags_.end()), tags_.end());
-  // Pass 2: per-tag document counts and posting lists (tagset ids ascend
-  // within each list by construction).
-  tag_counts_.assign(tags_.size(), 0);
-  tag_tagsets_.assign(tags_.size(), {});
+  tagset_offsets_[tagsets_.size()] = static_cast<uint32_t>(occurrences);
+  CORRTRACK_CHECK_LT(occurrences, size_t{1} << 32);
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> owner(occurrences);
+  keys.reserve(occurrences);
   for (uint32_t i = 0; i < tagsets_.size(); ++i) {
     for (TagId t : tagsets_[i].tags) {
-      const uint32_t local = LocalIndex(t);
-      CORRTRACK_CHECK_NE(local, kNoLocalIndex);
+      owner[keys.size()] = i;
+      keys.push_back((uint64_t{t} << 32) | keys.size());
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+
+  tagset_tags_.resize(occurrences);
+  postings_.resize(occurrences);
+  for (size_t n = 0; n < keys.size(); ++n) {
+    const TagId tag = static_cast<TagId>(keys[n] >> 32);
+    const uint32_t occurrence = static_cast<uint32_t>(keys[n]);
+    if (tags_.empty() || tags_.back() != tag) {
+      tags_.push_back(tag);
+      posting_offsets_.push_back(static_cast<uint32_t>(n));
+    }
+    tagset_tags_[occurrence] = static_cast<uint32_t>(tags_.size() - 1);
+    postings_[n] = owner[occurrence];
+  }
+  posting_offsets_.push_back(static_cast<uint32_t>(occurrences));
+
+  tag_counts_.assign(tags_.size(), 0);
+  for (uint32_t local = 0; local < tags_.size(); ++local) {
+    for (uint32_t i : TagsetsWithLocalTag(local)) {
       tag_counts_[local] += tagsets_[i].count;
-      tag_tagsets_[local].push_back(i);
     }
   }
   visit_stamp_.assign(tagsets_.size(), 0);
 }
 
 void CooccurrenceSnapshot::ComputeTagsetLoads() {
-  for (TagsetStats& stats : tagsets_) {
-    stats.load = ComputeLoad(stats.tags);
+  for (size_t i = 0; i < tagsets_.size(); ++i) {
+    tagsets_[i].load = LoadOfLocalTags(LocalTags(i));
   }
 }
 
-uint64_t CooccurrenceSnapshot::ComputeLoad(const TagSet& tags) const {
+uint64_t CooccurrenceSnapshot::LoadOfLocalTags(
+    std::span<const uint32_t> locals) const {
   ++current_stamp_;
   uint64_t load = 0;
-  for (TagId t : tags) {
-    const uint32_t local = LocalIndex(t);
-    if (local == kNoLocalIndex) continue;
-    for (uint32_t tagset_idx : tag_tagsets_[local]) {
+  for (uint32_t local : locals) {
+    for (uint32_t tagset_idx : TagsetsWithLocalTag(local)) {
       if (visit_stamp_[tagset_idx] == current_stamp_) continue;
       visit_stamp_[tagset_idx] = current_stamp_;
       load += tagsets_[tagset_idx].count;
@@ -118,27 +133,41 @@ uint64_t CooccurrenceSnapshot::ComputeLoad(const TagSet& tags) const {
   return load;
 }
 
+uint64_t CooccurrenceSnapshot::ComputeLoad(const TagSet& tags) const {
+  InlinedVector<uint32_t, 16> locals;
+  for (TagId t : tags) {
+    const uint32_t local = LocalIndex(t);
+    if (local != kNoLocalIndex) locals.push_back(local);
+  }
+  return LoadOfLocalTags({locals.begin(), locals.end()});
+}
+
 uint64_t CooccurrenceSnapshot::TagCount(TagId tag) const {
   const uint32_t local = LocalIndex(tag);
   if (local == kNoLocalIndex) return 0;
   return tag_counts_[local];
 }
 
-const std::vector<uint32_t>& CooccurrenceSnapshot::TagsetsWithTag(
+std::span<const uint32_t> CooccurrenceSnapshot::TagsetsWithTag(
     TagId tag) const {
   const uint32_t local = LocalIndex(tag);
-  if (local == kNoLocalIndex) return EmptyIndexVector();
-  return tag_tagsets_[local];
+  if (local == kNoLocalIndex) return {};
+  return TagsetsWithLocalTag(local);
 }
 
-void CooccurrenceSnapshot::BuildComponents() {
+const std::vector<ComponentStats>& CooccurrenceSnapshot::components() const {
+  if (!components_built_) {
+    BuildComponents();
+    components_built_ = true;
+  }
+  return components_;
+}
+
+void CooccurrenceSnapshot::BuildComponents() const {
   UnionFind uf(tags_.size());
-  for (const TagsetStats& stats : tagsets_) {
-    if (stats.tags.size() < 2) continue;
-    const uint32_t first = LocalIndex(stats.tags[0]);
-    for (size_t i = 1; i < stats.tags.size(); ++i) {
-      uf.Union(first, LocalIndex(stats.tags[i]));
-    }
+  for (size_t i = 0; i < tagsets_.size(); ++i) {
+    const std::span<const uint32_t> locals = LocalTags(i);
+    for (size_t j = 1; j < locals.size(); ++j) uf.Union(locals[0], locals[j]);
   }
   // Roots are local tag indices, so a dense vector replaces the hash map.
   std::vector<uint32_t> root_to_component(tags_.size(), kNoLocalIndex);
@@ -153,7 +182,7 @@ void CooccurrenceSnapshot::BuildComponents() {
   // Every tagset lies entirely inside one component; attribute its ids and
   // count there.
   for (uint32_t i = 0; i < tagsets_.size(); ++i) {
-    const size_t root = uf.Find(LocalIndex(tagsets_[i].tags[0]));
+    const size_t root = uf.Find(LocalTags(i)[0]);
     ComponentStats& comp = components_[root_to_component[root]];
     comp.tagset_ids.push_back(i);
     comp.load += tagsets_[i].count;

@@ -2,6 +2,7 @@
 #define CORRTRACK_CORE_COOCCURRENCE_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,12 @@ struct ComponentStats {
 /// partitioning algorithm over partition fragments proposed by the
 /// Partitioners (§6.2), treating each fragment as a tagset whose count is
 /// the fragment's load.
+///
+/// Layout: every distinct tag gets a snapshot-local id, its rank in the
+/// ascending tags() vector. The build sorts (tag, occurrence) keys once and
+/// derives two flat (CSR) arrays from them: each tagset's local tag ids
+/// (LocalTags) and each local tag's posting list of tagset indices. Loads, components and the set-cover kernels work
+/// on local ids, so no TagId is looked up after the build.
 class CooccurrenceSnapshot {
  public:
   /// Aggregates documents (multiset of tagsets) into a snapshot. Counting
@@ -84,17 +91,25 @@ class CooccurrenceSnapshot {
   /// snapshot).
   uint64_t TagCount(TagId tag) const;
 
-  /// Indices (into tagsets()) of the tagsets containing `tag`; empty for
-  /// unknown tags.
-  const std::vector<uint32_t>& TagsetsWithTag(TagId tag) const;
+  /// Indices (into tagsets()) of the tagsets containing `tag`, ascending;
+  /// empty for unknown tags.
+  std::span<const uint32_t> TagsetsWithTag(TagId tag) const;
+
+  /// Snapshot-local ids (indices into tags()) of the tags of tagset `i`,
+  /// ascending.
+  std::span<const uint32_t> LocalTags(size_t i) const {
+    return {tagset_tags_.data() + tagset_offsets_[i],
+            tagset_tags_.data() + tagset_offsets_[i + 1]};
+  }
 
   /// Load of an arbitrary tagset: number of documents containing any of its
   /// tags. Works for tagsets not present in the snapshot.
   uint64_t ComputeLoad(const TagSet& tags) const;
 
   /// Connected components of the tag graph (two tags connected when they
-  /// co-occur in a tagset), ordered by descending load.
-  const std::vector<ComponentStats>& components() const { return components_; }
+  /// co-occur in a tagset), ordered by descending load. Built on first use:
+  /// only the DS family needs them.
+  const std::vector<ComponentStats>& components() const;
 
  private:
   explicit CooccurrenceSnapshot(
@@ -104,22 +119,39 @@ class CooccurrenceSnapshot {
 
   void BuildTagIndex();
   void ComputeTagsetLoads();
-  void BuildComponents();
+  void BuildComponents() const;
 
-  /// Index of `tag` in the ascending tags_ vector (binary search), or
-  /// kNoLocalIndex for tags absent from the snapshot. A snapshot is rebuilt
-  /// at every repartitioning round, so the index is a sorted vector rather
-  /// than a hash map: one allocation, cache-linear construction.
+  /// Local id of `tag` (binary search in tags_), or kNoLocalIndex for
+  /// tags absent from the snapshot. Only the TagId-keyed queries use it.
   uint32_t LocalIndex(TagId tag) const;
+
+  /// Indices of the tagsets containing the tag with local id `local`,
+  /// ascending.
+  std::span<const uint32_t> TagsetsWithLocalTag(uint32_t local) const {
+    return {postings_.data() + posting_offsets_[local],
+            postings_.data() + posting_offsets_[local + 1]};
+  }
+
+  /// Σ count over the tagsets containing any of the `locals`.
+  uint64_t LoadOfLocalTags(std::span<const uint32_t> locals) const;
 
   std::vector<TagsetStats> tagsets_;
   uint64_t num_docs_ = 0;
-  std::vector<TagId> tags_;                         // Ascending; the index.
-  std::vector<uint64_t> tag_counts_;                // By local index.
-  std::vector<std::vector<uint32_t>> tag_tagsets_;  // By local index.
-  std::vector<ComponentStats> components_;
+  std::vector<TagId> tags_;           // Ascending; local id = position.
+  std::vector<uint64_t> tag_counts_;  // By local id.
+  // CSR: tagset i's local tag ids are
+  // tagset_tags_[tagset_offsets_[i], tagset_offsets_[i + 1]).
+  std::vector<uint32_t> tagset_offsets_;
+  std::vector<uint32_t> tagset_tags_;
+  // CSR: the tagsets containing local tag l are
+  // postings_[posting_offsets_[l], posting_offsets_[l + 1]).
+  std::vector<uint32_t> posting_offsets_;
+  std::vector<uint32_t> postings_;
+  mutable std::vector<ComponentStats> components_;
+  mutable bool components_built_ = false;
 
-  // Scratch for ComputeLoad-style traversals (stamped visited marks).
+  // Scratch for ComputeLoad-style traversals (stamped visited marks). This
+  // and the lazily built components make a snapshot single-threaded.
   mutable std::vector<uint32_t> visit_stamp_;
   mutable uint32_t current_stamp_ = 0;
 };

@@ -29,6 +29,7 @@ using MinLoadHeap =
 PartitionSet DsAlgorithm::CreatePartitions(
     const CooccurrenceSnapshot& snapshot, int k, uint64_t /*seed*/) const {
   PartitionSet ps(k);
+  ps.Reserve(snapshot.num_tags());
   // snapshot.components() is sorted by descending load — exactly the order
   // Algorithm 1 consumes disjoint sets (argmax load first).
   const std::vector<ComponentStats>& comps = snapshot.components();
@@ -112,7 +113,7 @@ PartitionSet DsSplitAlgorithm::CreatePartitions(
     const PartitionSet split =
         SclAlgorithm().CreatePartitions(sub, std::min(pieces, k), seed);
     for (int p = 0; p < split.num_partitions(); ++p) {
-      if (split.partition(p).empty()) continue;
+      if (split.PartitionSize(p) == 0) continue;
       PartitionFragment fragment;
       const std::vector<TagId> tags = split.SortedTags(p);
       fragment.tags =

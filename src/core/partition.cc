@@ -3,50 +3,83 @@
 #include <algorithm>
 
 #include "core/check.h"
+#include "core/inlined_vector.h"
 #include "core/stats.h"
 
 namespace corrtrack {
 
-namespace {
-const InlinedVector<uint16_t, 4>& EmptyPartitionList() {
-  static const InlinedVector<uint16_t, 4>* const kEmpty =
-      new InlinedVector<uint16_t, 4>();
-  return *kEmpty;
+int PartitionIds::operator[](size_t i) const {
+  CORRTRACK_CHECK_LT(i, size());
+  uint64_t rest = mask_;
+  for (; i > 0; --i) rest &= rest - 1;
+  return std::countr_zero(rest);
 }
-}  // namespace
 
 PartitionSet::PartitionSet(int k)
-    : partitions_(static_cast<size_t>(k)), loads_(static_cast<size_t>(k), 0) {
+    : tags_(static_cast<size_t>(k)), loads_(static_cast<size_t>(k), 0) {
   CORRTRACK_CHECK_GT(k, 0);
+  CORRTRACK_CHECK_LE(k, kMaxPartitions);
 }
 
-const std::unordered_set<TagId>& PartitionSet::partition(int p) const {
+void PartitionSet::CheckPartition(int p) const {
   CORRTRACK_CHECK_GE(p, 0);
-  CORRTRACK_CHECK_LT(static_cast<size_t>(p), partitions_.size());
-  return partitions_[static_cast<size_t>(p)];
+  CORRTRACK_CHECK_LT(static_cast<size_t>(p), tags_.size());
+}
+
+size_t PartitionSet::PartitionSize(int p) const {
+  CheckPartition(p);
+  return tags_[static_cast<size_t>(p)].size();
 }
 
 std::vector<TagId> PartitionSet::SortedTags(int p) const {
-  const auto& set = partition(p);
-  std::vector<TagId> tags(set.begin(), set.end());
+  CheckPartition(p);
+  std::vector<TagId> tags = tags_[static_cast<size_t>(p)];
   std::sort(tags.begin(), tags.end());
   return tags;
 }
 
-void PartitionSet::AddTag(int p, TagId tag) {
-  CORRTRACK_CHECK_GE(p, 0);
-  CORRTRACK_CHECK_LT(static_cast<size_t>(p), partitions_.size());
-  auto [it, inserted] = partitions_[static_cast<size_t>(p)].insert(tag);
-  if (!inserted) return;
-  InlinedVector<uint16_t, 4>& list = index_[tag];
-  const uint16_t pid = static_cast<uint16_t>(p);
-  auto pos = std::lower_bound(list.begin(), list.end(), pid);
-  if (pos != list.end() && *pos == pid) return;
-  // Insert keeping ascending order.
-  list.push_back(pid);
-  for (auto* q = list.end() - 1; q != list.begin() && *(q - 1) > *q; --q) {
-    std::swap(*(q - 1), *q);
+void PartitionSet::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot());
+  slot_shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.mask == 0) continue;
+    size_t i = SlotIndex(slot.tag);
+    while (slots_[i].mask != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
   }
+}
+
+void PartitionSet::Reserve(size_t num_tags) {
+  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * num_tags));
+  if (capacity > slots_.size()) Rehash(capacity);
+}
+
+PartitionSet::Slot& PartitionSet::FindOrClaim(TagId tag) {
+  // Keep the load factor <= 1/2 counting the slot about to be claimed.
+  if (2 * (num_tags_ + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = SlotIndex(tag);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.mask == 0) {
+      slot.tag = tag;
+      ++num_tags_;
+      return slot;
+    }
+    if (slot.tag == tag) return slot;
+  }
+}
+
+void PartitionSet::AddTag(int p, TagId tag) {
+  CheckPartition(p);
+  Slot& slot = FindOrClaim(tag);
+  const uint64_t bit = uint64_t{1} << p;
+  if ((slot.mask & bit) != 0) return;
+  slot.mask |= bit;
+  tags_[static_cast<size_t>(p)].push_back(tag);
 }
 
 void PartitionSet::AddTags(int p, const TagSet& tags) {
@@ -54,94 +87,75 @@ void PartitionSet::AddTags(int p, const TagSet& tags) {
 }
 
 bool PartitionSet::PartitionContains(int p, TagId tag) const {
-  return partition(p).count(tag) > 0;
+  CheckPartition(p);
+  return ((MaskOf(tag) >> p) & 1) != 0;
 }
 
-size_t PartitionSet::OverlapSize(int p, const TagSet& tags) const {
-  const auto& set = partition(p);
-  size_t overlap = 0;
-  for (TagId t : tags) overlap += set.count(t);
-  return overlap;
-}
-
-const InlinedVector<uint16_t, 4>& PartitionSet::PartitionsWithTag(
-    TagId tag) const {
-  auto it = index_.find(tag);
-  if (it == index_.end()) return EmptyPartitionList();
-  return it->second;
+PartitionSet::OverlapArray PartitionSet::OverlapCounts(
+    const TagSet& tags) const {
+  OverlapArray counts{};
+  for (TagId t : tags) {
+    for (int p : PartitionIds(MaskOf(t))) ++counts[static_cast<size_t>(p)];
+  }
+  return counts;
 }
 
 std::optional<int> PartitionSet::CoveringPartition(const TagSet& tags) const {
   if (tags.empty()) return std::nullopt;
-  for (uint16_t p : PartitionsWithTag(tags[0])) {
-    const auto& set = partitions_[p];
-    bool all = true;
-    for (TagId t : tags) {
-      if (set.count(t) == 0) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return static_cast<int>(p);
+  uint64_t common = ~uint64_t{0};
+  for (TagId t : tags) {
+    common &= MaskOf(t);
+    if (common == 0) return std::nullopt;
   }
-  return std::nullopt;
+  return std::countr_zero(common);
 }
 
 int PartitionSet::Route(const TagSet& tags,
                         std::vector<RoutedSubset>* out) const {
-  if (out != nullptr) out->clear();
-  // Merge the per-tag partition lists; partition ids are small, so a simple
-  // bitmap over k partitions is the fastest dedup.
-  uint64_t seen_mask = 0;
-  InlinedVector<uint16_t, 16> touched;
-  CORRTRACK_CHECK_LE(partitions_.size(), 64u);
+  InlinedVector<uint64_t, 16> masks;
+  uint64_t touched = 0;
   for (TagId t : tags) {
-    for (uint16_t p : PartitionsWithTag(t)) {
-      const uint64_t bit = uint64_t{1} << p;
-      if (seen_mask & bit) continue;
-      seen_mask |= bit;
-      touched.push_back(p);
-    }
+    const uint64_t m = MaskOf(t);
+    masks.push_back(m);
+    touched |= m;
   }
-  std::sort(touched.begin(), touched.end());
   if (out != nullptr) {
-    out->reserve(touched.size());
-    for (uint16_t p : touched) {
-      RoutedSubset routed;
-      routed.partition = static_cast<int>(p);
-      const auto& set = partitions_[p];
-      std::vector<TagId> subset;
-      for (TagId t : tags) {
-        if (set.count(t) > 0) subset.push_back(t);
+    out->clear();
+    out->reserve(static_cast<size_t>(std::popcount(touched)));
+    InlinedVector<TagId, 16> subset;
+    for (int p : PartitionIds(touched)) {
+      subset.clear();
+      for (size_t i = 0; i < tags.size(); ++i) {
+        if (((masks[i] >> p) & 1) != 0) subset.push_back(tags[i]);
       }
-      routed.tags = TagSet(subset);
+      RoutedSubset routed;
+      routed.partition = p;
+      routed.tags = TagSet::FromSorted(subset.begin(), subset.end());
       out->push_back(std::move(routed));
     }
   }
-  return static_cast<int>(touched.size());
+  return std::popcount(touched);
 }
 
 uint64_t PartitionSet::load(int p) const {
-  CORRTRACK_CHECK_GE(p, 0);
-  CORRTRACK_CHECK_LT(static_cast<size_t>(p), loads_.size());
+  CheckPartition(p);
   return loads_[static_cast<size_t>(p)];
 }
 
 void PartitionSet::AddLoad(int p, uint64_t load) {
-  CORRTRACK_CHECK_GE(p, 0);
-  CORRTRACK_CHECK_LT(static_cast<size_t>(p), loads_.size());
+  CheckPartition(p);
   loads_[static_cast<size_t>(p)] += load;
 }
 
 uint64_t PartitionSet::TotalReplication() const {
   uint64_t total = 0;
-  for (const auto& [tag, list] : index_) total += list.size();
+  for (const Slot& slot : slots_) total += std::popcount(slot.mask);
   return total;
 }
 
 bool PartitionSet::IsDisjoint() const {
-  for (const auto& [tag, list] : index_) {
-    if (list.size() > 1) return false;
+  for (const Slot& slot : slots_) {
+    if (std::popcount(slot.mask) > 1) return false;
   }
   return true;
 }

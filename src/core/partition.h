@@ -1,15 +1,14 @@
 #ifndef CORRTRACK_CORE_PARTITION_H_
 #define CORRTRACK_CORE_PARTITION_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/cooccurrence.h"
-#include "core/inlined_vector.h"
 #include "core/tagset.h"
 #include "core/types.h"
 
@@ -37,25 +36,78 @@ struct PartitionQuality {
   double coverage = 0.0;
 };
 
+/// Upper bound on the number of partitions k: a tag's partition membership
+/// is one bit of a 64-bit mask.
+inline constexpr int kMaxPartitions = 64;
+
+/// The partition ids of a membership mask in ascending order, iterable like
+/// a container of ints.
+class PartitionIds {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(uint64_t rest) : rest_(rest) {}
+    int operator*() const { return std::countr_zero(rest_); }
+    Iterator& operator++() {
+      rest_ &= rest_ - 1;  // Clear the lowest set bit.
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return rest_ == other.rest_;
+    }
+
+   private:
+    uint64_t rest_;
+  };
+
+  explicit PartitionIds(uint64_t mask) : mask_(mask) {}
+
+  Iterator begin() const { return Iterator(mask_); }
+  Iterator end() const { return Iterator(0); }
+  size_t size() const { return static_cast<size_t>(std::popcount(mask_)); }
+  bool empty() const { return mask_ == 0; }
+  /// The i-th smallest id; requires i < size().
+  int operator[](size_t i) const;
+
+ private:
+  uint64_t mask_;
+};
+
 /// A set of k tag partitions pr_1..pr_k plus an inverted index from tag to
 /// the partitions containing it — the index the Disseminator keeps (§3.3,
 /// backed by the set-valued-attribute indexing result of Helmer & Moerkotte
 /// [10]).
 ///
-/// Each partition also carries a load accumulator: the partitioning
-/// algorithms record Σ l_k of the tagsets they assign (Algorithms 1, 3, 4),
-/// and the Merger uses the same value to place single additions.
+/// Layout (all flat, so a copy is k + 2 allocations):
+///   - an open-addressing table TagId -> 64-bit partition mask (bit p set
+///     when the tag is in partition p; k <= kMaxPartitions), linear probing,
+///     load factor <= 1/2, a zero mask marks an empty slot;
+///   - per-partition tag lists in insertion order (sorted on demand);
+///   - per-partition load accumulators: the partitioning algorithms record
+///     Σ l_k of the tagsets they assign (Algorithms 1, 3, 4), and the Merger
+///     uses the same value to place single additions.
+/// Routing a document is then an OR of its tags' masks, and finding a
+/// covering partition an AND.
 class PartitionSet {
  public:
+  /// Per-partition overlap counts with a tagset (entries >= k stay 0).
+  using OverlapArray = std::array<uint32_t, kMaxPartitions>;
+
   PartitionSet() = default;
+  /// Requires 0 < k <= kMaxPartitions.
   explicit PartitionSet(int k);
 
-  int num_partitions() const { return static_cast<int>(partitions_.size()); }
+  int num_partitions() const { return static_cast<int>(tags_.size()); }
 
-  const std::unordered_set<TagId>& partition(int p) const;
+  /// Number of tags in partition `p`.
+  size_t PartitionSize(int p) const;
 
   /// Tags of partition `p` in ascending order (materialised on demand).
   std::vector<TagId> SortedTags(int p) const;
+
+  /// Sizes the tag table for `num_tags` distinct tags, so that adding them
+  /// does not rehash.
+  void Reserve(size_t num_tags);
 
   /// Adds `tag` to partition `p` (no-op when already present).
   void AddTag(int p, TagId tag);
@@ -63,12 +115,15 @@ class PartitionSet {
 
   bool PartitionContains(int p, TagId tag) const;
 
-  /// Number of tags of `tags` present in partition `p`.
-  size_t OverlapSize(int p, const TagSet& tags) const;
+  /// Number of tags of `tags` present in each partition, in one pass over
+  /// `tags`.
+  OverlapArray OverlapCounts(const TagSet& tags) const;
 
   /// The partitions containing `tag` (ascending partition ids); empty for
   /// unassigned tags.
-  const InlinedVector<uint16_t, 4>& PartitionsWithTag(TagId tag) const;
+  PartitionIds PartitionsWithTag(TagId tag) const {
+    return PartitionIds(MaskOf(tag));
+  }
 
   /// A partition containing *every* tag of `tags`, if any — the Calculator
   /// able to compute this tagset's Jaccard coefficient. Smallest such
@@ -82,22 +137,14 @@ class PartitionSet {
   int Route(const TagSet& tags, std::vector<RoutedSubset>* out) const;
 
   /// Count-only variant of Route: invokes `fn(partition)` once per touched
-  /// partition (unspecified order) and returns the count. No subset
+  /// partition (ascending) and returns the count. No subset
   /// materialisation — used by quality evaluation over whole snapshots.
   template <typename Fn>
   int ForEachTouchedPartition(const TagSet& tags, Fn&& fn) const {
-    uint64_t seen_mask = 0;
-    int touched = 0;
-    for (TagId t : tags) {
-      for (uint16_t p : PartitionsWithTag(t)) {
-        const uint64_t bit = uint64_t{1} << p;
-        if (seen_mask & bit) continue;
-        seen_mask |= bit;
-        ++touched;
-        fn(static_cast<int>(p));
-      }
-    }
-    return touched;
+    uint64_t touched = 0;
+    for (TagId t : tags) touched |= MaskOf(t);
+    for (int p : PartitionIds(touched)) fn(p);
+    return std::popcount(touched);
   }
 
   /// Per-partition load accumulators (algorithm bookkeeping).
@@ -109,7 +156,7 @@ class PartitionSet {
   uint64_t TotalReplication() const;
 
   /// Number of distinct tags assigned anywhere.
-  size_t NumDistinctTags() const { return index_.size(); }
+  size_t NumDistinctTags() const { return num_tags_; }
 
   /// True when every tag appears in exactly one partition.
   bool IsDisjoint() const;
@@ -117,9 +164,36 @@ class PartitionSet {
   std::string ToString() const;
 
  private:
-  std::vector<std::unordered_set<TagId>> partitions_;
+  struct Slot {
+    TagId tag = 0;
+    uint64_t mask = 0;  // 0: empty slot.
+  };
+
+  /// Partition mask of `tag`; 0 for unassigned tags.
+  uint64_t MaskOf(TagId tag) const {
+    if (slots_.empty()) return 0;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = SlotIndex(tag);; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.mask == 0) return 0;
+      if (slot.tag == tag) return slot.mask;
+    }
+  }
+  size_t SlotIndex(TagId tag) const {
+    // Fibonacci hashing: the top bits of a multiplicative hash.
+    return static_cast<size_t>((uint64_t{tag} * 0x9e3779b97f4a7c15ull) >>
+                               slot_shift_);
+  }
+  /// The slot holding `tag`, claimed (mask still 0) when absent.
+  Slot& FindOrClaim(TagId tag);
+  void Rehash(size_t capacity);
+  void CheckPartition(int p) const;
+
+  std::vector<Slot> slots_;  // Power-of-two size, or empty.
+  int slot_shift_ = 64;      // 64 - log2(slots_.size()).
+  size_t num_tags_ = 0;
+  std::vector<std::vector<TagId>> tags_;  // Per partition, insertion order.
   std::vector<uint64_t> loads_;
-  std::unordered_map<TagId, InlinedVector<uint16_t, 4>> index_;
 };
 
 /// Evaluates `ps` against a workload the way §7.2 defines partition quality:

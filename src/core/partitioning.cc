@@ -34,7 +34,7 @@ std::vector<PartitionFragment> PartitioningAlgorithm::ProposeFragments(
   std::vector<PartitionFragment> fragments;
   fragments.reserve(static_cast<size_t>(local.num_partitions()));
   for (int p = 0; p < local.num_partitions(); ++p) {
-    if (local.partition(p).empty()) continue;
+    if (local.PartitionSize(p) == 0) continue;
     PartitionFragment fragment;
     const std::vector<TagId> tags = local.SortedTags(p);
     fragment.tags = TagSet::FromSorted(tags.data(), tags.data() + tags.size());
@@ -113,11 +113,12 @@ namespace internal {
 int PickPartitionByOverlapThenLoad(const PartitionSet& ps,
                                    const TagSet& tags) {
   CORRTRACK_CHECK_GT(ps.num_partitions(), 0);
+  const PartitionSet::OverlapArray overlaps = ps.OverlapCounts(tags);
   int best = 0;
-  size_t best_overlap = ps.OverlapSize(0, tags);
+  uint32_t best_overlap = overlaps[0];
   uint64_t best_load = ps.load(0);
   for (int p = 1; p < ps.num_partitions(); ++p) {
-    const size_t overlap = ps.OverlapSize(p, tags);
+    const uint32_t overlap = overlaps[static_cast<size_t>(p)];
     const uint64_t load = ps.load(p);
     if (overlap > best_overlap ||
         (overlap == best_overlap && load < best_load)) {
@@ -132,12 +133,13 @@ int PickPartitionByOverlapThenLoad(const PartitionSet& ps,
 int PickPartitionByLoadThenOverlap(const PartitionSet& ps,
                                    const TagSet& tags) {
   CORRTRACK_CHECK_GT(ps.num_partitions(), 0);
+  const PartitionSet::OverlapArray overlaps = ps.OverlapCounts(tags);
   int best = 0;
   uint64_t best_load = ps.load(0);
-  size_t best_overlap = ps.OverlapSize(0, tags);
+  uint32_t best_overlap = overlaps[0];
   for (int p = 1; p < ps.num_partitions(); ++p) {
     const uint64_t load = ps.load(p);
-    const size_t overlap = ps.OverlapSize(p, tags);
+    const uint32_t overlap = overlaps[static_cast<size_t>(p)];
     if (load < best_load || (load == best_load && overlap > best_overlap)) {
       best = p;
       best_load = load;

@@ -1,7 +1,8 @@
 #include "core/scc_algorithm.h"
 
+#include <functional>
 #include <queue>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -11,13 +12,10 @@ namespace corrtrack {
 
 namespace {
 
-size_t CountUncovered(const TagSet& tags,
-                      const std::unordered_set<TagId>& covered) {
-  size_t n = 0;
-  for (TagId t : tags) {
-    if (covered.count(t) == 0) ++n;
-  }
-  return n;
+/// |s_i \ CV|.
+size_t CountUncovered(const CooccurrenceSnapshot& snapshot, size_t i,
+                      const CoveredTags& covered) {
+  return snapshot.tagsets()[i].tags.size() - covered.CountCovered(i);
 }
 
 /// Heap entry ordered by (max uncovered, min tagset size, min index).
@@ -32,13 +30,14 @@ struct SccEntry {
   }
 };
 
-void AssignTagset(const TagsetStats& stats, PartitionSet* ps,
-                  std::unordered_set<TagId>* covered) {
+void AssignTagset(const CooccurrenceSnapshot& snapshot, size_t i,
+                  PartitionSet* ps, CoveredTags* covered) {
   // Line 4: pr_i = argmax |s_i ∩ pr_j| and argmin Σ l_k.
+  const TagsetStats& stats = snapshot.tagsets()[i];
   const int target = internal::PickPartitionByOverlapThenLoad(*ps, stats.tags);
   ps->AddTags(target, stats.tags);
   ps->AddLoad(target, stats.load);
-  for (TagId t : stats.tags) covered->insert(t);
+  covered->Cover(i);
 }
 
 }  // namespace
@@ -48,7 +47,7 @@ PartitionSet SccAlgorithm::CreatePartitions(
   Phase1Result phase1 =
       RunSetCoverPhase1(snapshot, k, Phase1Cost::kCommunication);
   PartitionSet& ps = phase1.partitions;
-  std::unordered_set<TagId>& covered = phase1.covered;
+  CoveredTags& covered = phase1.covered;
   const std::vector<TagsetStats>& tagsets = snapshot.tagsets();
 
   if (!use_lazy_heap_) {
@@ -64,7 +63,7 @@ PartitionSet SccAlgorithm::CreatePartitions(
       size_t best_size = 0;
       for (size_t j = 0; j < tagsets.size(); ++j) {
         if (phase1.assigned[j]) continue;
-        const size_t uncovered = CountUncovered(tagsets[j].tags, covered);
+        const size_t uncovered = CountUncovered(snapshot, j, covered);
         const size_t size = tagsets[j].tags.size();
         if (best < 0 || uncovered > best_uncovered ||
             (uncovered == best_uncovered && size < best_size)) {
@@ -73,7 +72,7 @@ PartitionSet SccAlgorithm::CreatePartitions(
           best_size = size;
         }
       }
-      AssignTagset(tagsets[static_cast<size_t>(best)], &ps, &covered);
+      AssignTagset(snapshot, static_cast<size_t>(best), &ps, &covered);
       phase1.assigned[static_cast<size_t>(best)] = true;
       --remaining;
     }
@@ -82,24 +81,29 @@ PartitionSet SccAlgorithm::CreatePartitions(
 
   // Lazy-heap path. |s \ CV| is monotone non-increasing, so stale entries
   // are re-keyed and re-pushed; an up-to-date popped entry is a maximum.
-  std::priority_queue<SccEntry> heap;
+  // The key order is total (index breaks ties), so the pop sequence does
+  // not depend on how the heap was built: heapify in O(n).
+  std::vector<SccEntry> entries;
+  entries.reserve(tagsets.size());
   for (uint32_t j = 0; j < tagsets.size(); ++j) {
     if (phase1.assigned[j]) continue;
-    heap.push({CountUncovered(tagsets[j].tags, covered),
-               tagsets[j].tags.size(), j});
+    entries.push_back(
+        {CountUncovered(snapshot, j, covered), tagsets[j].tags.size(), j});
   }
+  std::priority_queue<SccEntry> heap(std::less<SccEntry>(),
+                                     std::move(entries));
   while (!heap.empty()) {
     SccEntry top = heap.top();
     heap.pop();
     if (phase1.assigned[top.index]) continue;
-    const size_t now = CountUncovered(tagsets[top.index].tags, covered);
+    const size_t now = CountUncovered(snapshot, top.index, covered);
     if (now != top.uncovered) {
       CORRTRACK_CHECK_LT(now, top.uncovered);
       top.uncovered = now;
       heap.push(top);
       continue;
     }
-    AssignTagset(tagsets[top.index], &ps, &covered);
+    AssignTagset(snapshot, top.index, &ps, &covered);
     phase1.assigned[top.index] = true;
   }
   return ps;

@@ -27,12 +27,11 @@ PartitionSet SciAlgorithm::CreatePartitions(
     const TagsetStats& stats = tagsets[j];
     // Line 3: the partition sharing the most tags (∩; see header note).
     // SCI tracks no loads; ties go to the lowest partition id.
+    const PartitionSet::OverlapArray overlap = ps.OverlapCounts(stats.tags);
     int target = 0;
-    size_t best_overlap = ps.OverlapSize(0, stats.tags);
     for (int p = 1; p < ps.num_partitions(); ++p) {
-      const size_t overlap = ps.OverlapSize(p, stats.tags);
-      if (overlap > best_overlap) {
-        best_overlap = overlap;
+      if (overlap[static_cast<size_t>(p)] >
+          overlap[static_cast<size_t>(target)]) {
         target = p;
       }
     }

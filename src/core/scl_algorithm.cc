@@ -1,7 +1,6 @@
 #include "core/scl_algorithm.h"
 
-#include <queue>
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 #include "core/check.h"
@@ -11,20 +10,12 @@ namespace corrtrack {
 
 namespace {
 
-size_t CountCovered(const TagSet& tags,
-                    const std::unordered_set<TagId>& covered) {
-  size_t n = 0;
-  for (TagId t : tags) n += covered.count(t);
-  return n;
-}
-
-/// Heap entry ordered by (max load, min covered-overlap, min index).
-struct SclEntry {
-  uint64_t load;
+/// Lazy-heap entry within one load group, ordered so that the heap top
+/// has the least covered-overlap, then the least index.
+struct TieEntry {
   size_t covered_overlap;
   uint32_t index;
-  bool operator<(const SclEntry& other) const {
-    if (load != other.load) return load < other.load;
+  bool operator<(const TieEntry& other) const {
     if (covered_overlap != other.covered_overlap) {
       return covered_overlap > other.covered_overlap;
     }
@@ -32,13 +23,14 @@ struct SclEntry {
   }
 };
 
-void AssignTagset(const TagsetStats& stats, PartitionSet* ps,
-                  std::unordered_set<TagId>* covered) {
+void AssignTagset(const CooccurrenceSnapshot& snapshot, size_t i,
+                  PartitionSet* ps, CoveredTags* covered) {
   // Line 4: pr_i = argmin Σ l_k and argmax |s_i ∩ pr_j|.
+  const TagsetStats& stats = snapshot.tagsets()[i];
   const int target = internal::PickPartitionByLoadThenOverlap(*ps, stats.tags);
   ps->AddTags(target, stats.tags);
   ps->AddLoad(target, stats.load);
-  for (TagId t : stats.tags) covered->insert(t);
+  covered->Cover(i);
 }
 
 }  // namespace
@@ -47,7 +39,7 @@ PartitionSet SclAlgorithm::CreatePartitions(
     const CooccurrenceSnapshot& snapshot, int k, uint64_t /*seed*/) const {
   Phase1Result phase1 = RunSetCoverPhase1(snapshot, k, Phase1Cost::kLoad);
   PartitionSet& ps = phase1.partitions;
-  std::unordered_set<TagId>& covered = phase1.covered;
+  CoveredTags& covered = phase1.covered;
   const std::vector<TagsetStats>& tagsets = snapshot.tagsets();
 
   if (!use_lazy_heap_) {
@@ -63,7 +55,7 @@ PartitionSet SclAlgorithm::CreatePartitions(
       for (size_t j = 0; j < tagsets.size(); ++j) {
         if (phase1.assigned[j]) continue;
         const uint64_t load = tagsets[j].load;
-        const size_t overlap = CountCovered(tagsets[j].tags, covered);
+        const size_t overlap = covered.CountCovered(j);
         if (best < 0 || load > best_load ||
             (load == best_load && overlap < best_overlap)) {
           best = static_cast<int>(j);
@@ -71,34 +63,56 @@ PartitionSet SclAlgorithm::CreatePartitions(
           best_overlap = overlap;
         }
       }
-      AssignTagset(tagsets[static_cast<size_t>(best)], &ps, &covered);
+      AssignTagset(snapshot, static_cast<size_t>(best), &ps, &covered);
       phase1.assigned[static_cast<size_t>(best)] = true;
       --remaining;
     }
     return ps;
   }
 
-  // Lazy-heap path: load is static, |s ∩ CV| only grows (worsening the
-  // key), so a popped entry whose recomputed overlap is unchanged is the
-  // true maximum.
-  std::priority_queue<SclEntry> heap;
+  // Fast path. The primary key, load, is static: sort once by (load desc,
+  // index asc) and take the tagsets group by group. Only within a group of
+  // equal loads does the tie-break |s ∩ CV| matter, and it only grows as
+  // tagsets are assigned, so a lazy heap serves it: a popped entry whose
+  // recomputed overlap is unchanged is the true minimum.
+  std::vector<uint32_t> order;
+  order.reserve(tagsets.size());
   for (uint32_t j = 0; j < tagsets.size(); ++j) {
-    if (phase1.assigned[j]) continue;
-    heap.push({tagsets[j].load, CountCovered(tagsets[j].tags, covered), j});
+    if (!phase1.assigned[j]) order.push_back(j);
   }
-  while (!heap.empty()) {
-    SclEntry top = heap.top();
-    heap.pop();
-    if (phase1.assigned[top.index]) continue;
-    const size_t now = CountCovered(tagsets[top.index].tags, covered);
-    if (now != top.covered_overlap) {
-      CORRTRACK_CHECK_GT(now, top.covered_overlap);
-      top.covered_overlap = now;
-      heap.push(top);
-      continue;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (tagsets[a].load != tagsets[b].load) {
+      return tagsets[a].load > tagsets[b].load;
     }
-    AssignTagset(tagsets[top.index], &ps, &covered);
-    phase1.assigned[top.index] = true;
+    return a < b;
+  });
+  std::vector<TieEntry> heap;
+  for (size_t begin = 0; begin < order.size();) {
+    size_t end = begin + 1;
+    while (end < order.size() &&
+           tagsets[order[end]].load == tagsets[order[begin]].load) {
+      ++end;
+    }
+    heap.clear();
+    for (size_t i = begin; i < end; ++i) {
+      heap.push_back({covered.CountCovered(order[i]), order[i]});
+    }
+    std::make_heap(heap.begin(), heap.end());
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end());
+      TieEntry top = heap.back();
+      heap.pop_back();
+      const size_t now = covered.CountCovered(top.index);
+      if (now != top.covered_overlap) {
+        CORRTRACK_CHECK_GT(now, top.covered_overlap);
+        top.covered_overlap = now;
+        heap.push_back(top);
+        std::push_heap(heap.begin(), heap.end());
+        continue;
+      }
+      AssignTagset(snapshot, top.index, &ps, &covered);
+    }
+    begin = end;
   }
   return ps;
 }

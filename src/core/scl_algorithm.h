@@ -12,8 +12,9 @@ namespace corrtrack {
 /// covered tags) and append it to the least-loaded partition (ties: most
 /// shared tags).
 ///
-/// Phase-2 selection uses a lazy heap: the primary key (load) is static and
-/// the tie-break |s ∩ CV| only increases, so entries are re-keyed lazily.
+/// Phase-2 selection sorts once by the static primary key (load) and runs a
+/// lazy heap only inside each group of equal loads: the tie-break |s ∩ CV|
+/// only increases, so entries are re-keyed lazily.
 class SclAlgorithm : public PartitioningAlgorithm {
  public:
   explicit SclAlgorithm(bool use_lazy_heap = true)

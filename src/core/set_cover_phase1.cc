@@ -7,24 +7,15 @@
 
 namespace corrtrack {
 
-namespace {
-
-size_t CountCovered(const TagSet& tags,
-                    const std::unordered_set<TagId>& covered) {
-  size_t n = 0;
-  for (TagId t : tags) n += covered.count(t);
-  return n;
-}
-
-}  // namespace
-
 Phase1Result RunSetCoverPhase1(const CooccurrenceSnapshot& snapshot, int k,
                                Phase1Cost cost) {
   CORRTRACK_CHECK_GT(k, 0);
   const std::vector<TagsetStats>& tagsets = snapshot.tagsets();
-  Phase1Result result;
-  result.partitions = PartitionSet(k);
-  result.assigned.assign(tagsets.size(), false);
+  Phase1Result result{PartitionSet(k),
+                      std::vector<bool>(tagsets.size(), false),
+                      CoveredTags(snapshot)};
+  // Coverage puts every snapshot tag into some partition.
+  result.partitions.Reserve(snapshot.num_tags());
 
   uint64_t selected_load_sum = 0;
   for (int m = 1; m <= k; ++m) {
@@ -35,11 +26,11 @@ Phase1Result RunSetCoverPhase1(const CooccurrenceSnapshot& snapshot, int k,
     for (size_t j = 0; j < tagsets.size(); ++j) {
       if (result.assigned[j]) continue;
       const TagsetStats& stats = tagsets[j];
-      const size_t already = CountCovered(stats.tags, result.covered);
-      const size_t fresh = stats.tags.size() - already;
       double c = 0;
+      size_t already = 0;
       switch (cost) {
         case Phase1Cost::kCommunication:
+          already = result.covered.CountCovered(j);
           c = static_cast<double>(already);
           break;
         case Phase1Cost::kLoad: {
@@ -51,12 +42,16 @@ Phase1Result RunSetCoverPhase1(const CooccurrenceSnapshot& snapshot, int k,
           const double pl_n =
               denom > 0 ? static_cast<double>(stats.load) / denom : 0.0;
           c = std::abs(pl_op - pl_n);
+          // The overlap only breaks ties: skip counting a losing candidate.
+          if (best >= 0 && c > best_cost) continue;
+          already = result.covered.CountCovered(j);
           break;
         }
         case Phase1Cost::kZero:
-          c = 0;
+          already = result.covered.CountCovered(j);
           break;
       }
+      const size_t fresh = stats.tags.size() - already;
       if (best < 0 || c < best_cost ||
           (c == best_cost && fresh > best_new)) {
         best = static_cast<int>(j);
@@ -70,7 +65,7 @@ Phase1Result RunSetCoverPhase1(const CooccurrenceSnapshot& snapshot, int k,
     result.partitions.AddTags(partition, chosen.tags);
     result.partitions.AddLoad(partition, chosen.load);
     result.assigned[static_cast<size_t>(best)] = true;
-    for (TagId t : chosen.tags) result.covered.insert(t);
+    result.covered.Cover(static_cast<size_t>(best));
     selected_load_sum += chosen.load;
   }
   return result;

@@ -2,7 +2,6 @@
 #define CORRTRACK_CORE_SET_COVER_PHASE1_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/cooccurrence.h"
@@ -10,6 +9,36 @@
 #include "core/types.h"
 
 namespace corrtrack {
+
+/// The covered-tag set CV of the set-cover algorithms (§4.2): a bitmap over
+/// a snapshot's local tag ids. Tagsets are addressed by their index in
+/// snapshot.tagsets(). Keeps a pointer to `snapshot`, which must outlive
+/// it.
+class CoveredTags {
+ public:
+  explicit CoveredTags(const CooccurrenceSnapshot& snapshot)
+      : snapshot_(&snapshot), words_((snapshot.num_tags() + 63) / 64, 0) {}
+
+  /// |s_i ∩ CV| for tagset `i`.
+  size_t CountCovered(size_t i) const {
+    size_t n = 0;
+    for (uint32_t local : snapshot_->LocalTags(i)) {
+      n += (words_[local >> 6] >> (local & 63)) & 1;
+    }
+    return n;
+  }
+
+  /// CV ← CV ∪ s_i.
+  void Cover(size_t i) {
+    for (uint32_t local : snapshot_->LocalTags(i)) {
+      words_[local >> 6] |= uint64_t{1} << (local & 63);
+    }
+  }
+
+ private:
+  const CooccurrenceSnapshot* snapshot_;
+  std::vector<uint64_t> words_;
+};
 
 /// The cost function c_i that Algorithm 2 plugs into the budgeted-maximum-
 /// coverage greedy selection (§4.2).
@@ -30,7 +59,7 @@ enum class Phase1Cost {
 struct Phase1Result {
   PartitionSet partitions;
   std::vector<bool> assigned;  // Indexed like snapshot.tagsets().
-  std::unordered_set<TagId> covered;
+  CoveredTags covered;
 };
 
 /// Runs Algorithm 2 over `snapshot` with the given cost function: in each of

@@ -106,6 +106,7 @@ struct DisseminatorState {
   uint64_t handoff_entries_dropped = 0;
   int cooldown_remaining = 0;
   uint64_t docs_seen = 0;
+  uint64_t docs_dropped_pre_bootstrap = 0;
   uint64_t next_forced = 0;
   uint64_t batch_count = 0;
   uint64_t batch_notifications = 0;

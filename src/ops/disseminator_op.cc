@@ -77,6 +77,12 @@ void DisseminatorBolt::HandleDoc(const ParsedDoc& parsed,
       request.cause = 0;  // Initial creation, not a quality violation.
       out.Emit(Message(request));
     }
+    // No route table yet: the document reaches no Calculator. Counted, so
+    // that the loss is visible wherever the bootstrap races the stream.
+    ++docs_dropped_pre_bootstrap_;
+    if (config_.telemetry != nullptr) {
+      config_.telemetry->docs_dropped_pre_bootstrap->Increment();
+    }
     return;
   }
 
@@ -288,6 +294,7 @@ void DisseminatorBolt::ExportState(DisseminatorState* out) const {
   out->handoff_entries_dropped = handoff_entries_dropped_;
   out->cooldown_remaining = cooldown_remaining_;
   out->docs_seen = docs_seen_;
+  out->docs_dropped_pre_bootstrap = docs_dropped_pre_bootstrap_;
   out->next_forced = static_cast<uint64_t>(next_forced_);
   out->batch_count = batch_count_;
   out->batch_notifications = batch_notifications_;
@@ -322,6 +329,7 @@ void DisseminatorBolt::RestoreState(const DisseminatorState& state) {
   handoff_entries_dropped_ = state.handoff_entries_dropped;
   cooldown_remaining_ = state.cooldown_remaining;
   docs_seen_ = state.docs_seen;
+  docs_dropped_pre_bootstrap_ = state.docs_dropped_pre_bootstrap;
   next_forced_ = static_cast<size_t>(state.next_forced);
   batch_count_ = state.batch_count;
   batch_notifications_ = state.batch_notifications;

@@ -79,6 +79,11 @@ class DisseminatorBolt : public stream::Bolt<Message> {
   uint64_t handoff_entries_dropped() const {
     return handoff_entries_dropped_;
   }
+  /// Documents that arrived before the first install and were routed
+  /// nowhere.
+  uint64_t docs_dropped_pre_bootstrap() const {
+    return docs_dropped_pre_bootstrap_;
+  }
 
   /// Checkpoint support (ops/checkpoint_state.h): export collapses the COW
   /// route table into a flat PartitionSetState; restore rebuilds it as an
@@ -128,6 +133,7 @@ class DisseminatorBolt : public stream::Bolt<Message> {
 
   // Forced repartition schedule (config.forced_repartition_docs).
   uint64_t docs_seen_ = 0;
+  uint64_t docs_dropped_pre_bootstrap_ = 0;
   size_t next_forced_ = 0;
 
   // §7.2 quality batch (z notified tagsets).

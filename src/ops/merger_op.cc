@@ -27,9 +27,6 @@ void MergerBolt::HandleProposal(const PartitionProposal& proposal,
   PendingRound& round = rounds_[proposal.token];
   round.fragments.insert(round.fragments.end(), proposal.fragments.begin(),
                          proposal.fragments.end());
-  round.window_tagsets.insert(round.window_tagsets.end(),
-                              proposal.window_tagsets.begin(),
-                              proposal.window_tagsets.end());
   ++round.proposals_received;
   if (round.proposals_received < config_.num_partitioners) return;
   PendingRound done = std::move(round);

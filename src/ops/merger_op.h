@@ -66,7 +66,6 @@ class MergerBolt : public stream::Bolt<Message> {
  private:
   struct PendingRound {
     std::vector<PartitionFragment> fragments;
-    std::vector<std::pair<TagSet, uint64_t>> window_tagsets;
     int proposals_received = 0;
   };
 

@@ -53,13 +53,13 @@ struct ParsedDoc {
 
 /// Partitioner -> Merger (global): the instance's proposal for repartition
 /// round `token` — its fragments (disjoint sets for DS, local partitions
-/// for the set-cover family) plus its window's distinct tagsets, which the
-/// Merger needs to compute the reference quality of the final partitions.
+/// for the set-cover family). The Merger derives the reference quality of
+/// the final partitions from the partitions alone (§7.2), so no window
+/// statistics travel with the proposal.
 struct PartitionProposal {
   uint32_t token = 0;
   int partitioner = -1;
   std::vector<PartitionFragment> fragments;
-  std::vector<std::pair<TagSet, uint64_t>> window_tagsets;
 };
 
 /// Merger -> Disseminator (all): the final k partitions with their

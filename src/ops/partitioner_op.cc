@@ -56,10 +56,6 @@ void PartitionerBolt::HandleRequest(const RepartitionRequest& request,
                         request.token;
   proposal.fragments =
       algorithm_->ProposeFragments(snapshot, config_.num_calculators, seed);
-  proposal.window_tagsets.reserve(snapshot.tagsets().size());
-  for (const TagsetStats& stats : snapshot.tagsets()) {
-    proposal.window_tagsets.emplace_back(stats.tags, stats.count);
-  }
   out.Emit(Message(std::move(proposal)));
 }
 

@@ -289,6 +289,7 @@ std::string EncodeDisseminator(const DisseminatorState& s) {
   w.PutU64(s.handoff_entries_dropped);
   w.PutI64(s.cooldown_remaining);
   w.PutU64(s.docs_seen);
+  w.PutU64(s.docs_dropped_pre_bootstrap);
   w.PutU64(s.next_forced);
   w.PutU64(s.batch_count);
   w.PutU64(s.batch_notifications);
@@ -314,7 +315,9 @@ bool DecodeDisseminator(std::string_view payload, DisseminatorState* out) {
       !r.GetU64(&out->repartitions_requested) || !r.GetU64(&out->shrinks) ||
       !r.GetU64(&out->handoffs_routed) ||
       !r.GetU64(&out->handoff_entries_dropped) || !r.GetI64(&cooldown) ||
-      !r.GetU64(&out->docs_seen) || !r.GetU64(&out->next_forced) ||
+      !r.GetU64(&out->docs_seen) ||
+      !r.GetU64(&out->docs_dropped_pre_bootstrap) ||
+      !r.GetU64(&out->next_forced) ||
       !r.GetU64(&out->batch_count) || !r.GetU64(&out->batch_notifications) ||
       !r.GetU64(&batches)) {
     return false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/check.h"
+#include "core/partition.h"
 #include "ops/calculator_op.h"
 #include "ops/centralized.h"
 #include "ops/disseminator_op.h"
@@ -30,6 +32,9 @@ TopologyHandles BuildCorrelationTopology(
     bool with_centralized_baseline, PeriodSink* tracker_sink,
     PeriodSink* baseline_sink,
     std::shared_ptr<const PipelineCheckpointState> restore) {
+  // Every Calculator, elastic spares included, is a bit of a PartitionSet
+  // membership mask: refuse a wider topology before anything runs.
+  CORRTRACK_CHECK_LE(config.EffectiveMaxCalculators(), kMaxPartitions);
   TopologyHandles handles;
   // The elastic install protocol's participants need the Calculator's
   // component id, which is only known after the components below are

@@ -19,6 +19,9 @@ namespace corrtrack::telemetry {
 ///   corrtrack_docs_parsed_total            raw documents through the Parser
 ///   corrtrack_docs_sampled_total           documents stamped with a trace
 ///   corrtrack_notifications_routed_total   Disseminator -> Calculator sends
+///   corrtrack_docs_dropped_total{reason="pre_bootstrap"}
+///                                          documents the Disseminator saw
+///                                          before the first install
 ///   corrtrack_reports_tracked_total        JaccardReports into the Tracker
 ///   corrtrack_stage_proc_us{stage=...}     per-stage processing time
 ///   corrtrack_stage_dwell_us{stage=...}    queue dwell before the stage
@@ -35,6 +38,8 @@ struct PipelineTelemetry {
             registry.GetCounter("corrtrack_notifications_routed_total")),
         reports_tracked(
             registry.GetCounter("corrtrack_reports_tracked_total")),
+        docs_dropped_pre_bootstrap(registry.GetCounter(
+            "corrtrack_docs_dropped_total{reason=\"pre_bootstrap\"}")),
         parser_proc(registry.GetHistogram(
             "corrtrack_stage_proc_us{stage=\"parser\"}")),
         diss_dwell(registry.GetHistogram(
@@ -72,6 +77,7 @@ struct PipelineTelemetry {
   Counter* docs_sampled;
   Counter* notifications_routed;
   Counter* reports_tracked;
+  Counter* docs_dropped_pre_bootstrap;
 
   LatencyHistogram* parser_proc;
   LatencyHistogram* diss_dwell;

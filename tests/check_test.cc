@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/inlined_vector.h"
 #include "core/partition.h"
 #include "core/tagset.h"
 #include "core/window.h"
+#include "gen/tweet_generator.h"
+#include "ops/source.h"
+#include "ops/topology_builder.h"
 
 namespace corrtrack {
 namespace {
@@ -61,9 +66,34 @@ TEST(CheckDeathTest, WindowNeedsSomeBound) {
 
 TEST(CheckDeathTest, PartitionSetBoundsChecked) {
   PartitionSet ps(2);
-  EXPECT_DEATH(ps.partition(2), "CORRTRACK_CHECK");
+  EXPECT_DEATH(ps.PartitionSize(2), "CORRTRACK_CHECK");
   EXPECT_DEATH(ps.AddTag(-1, 5), "CORRTRACK_CHECK");
   EXPECT_DEATH(ps.AddLoad(7, 1), "CORRTRACK_CHECK");
+}
+
+TEST(CheckDeathTest, PartitionSetHoldsAtMostMaxPartitions) {
+  // Membership is a 64-bit mask per tag, so k > kMaxPartitions is refused
+  // at construction rather than overflowing a shift while routing.
+  EXPECT_DEATH(PartitionSet(kMaxPartitions + 1), "CORRTRACK_CHECK");
+  EXPECT_DEATH(PartitionSet(0), "CORRTRACK_CHECK");
+  EXPECT_EQ(PartitionSet(kMaxPartitions).num_partitions(), kMaxPartitions);
+}
+
+TEST(CheckDeathTest, TopologyRefusesMoreCalculatorsThanMaxPartitions) {
+  auto build = [](int num_calculators, int max_calculators) {
+    ops::PipelineConfig config;
+    config.num_calculators = num_calculators;
+    config.max_calculators = max_calculators;
+    stream::Topology<ops::Message> topology;
+    ops::BuildCorrelationTopology(
+        &topology,
+        std::make_unique<ops::GeneratorSpout>(gen::GeneratorConfig(), 1),
+        config, nullptr, /*with_centralized_baseline=*/false);
+  };
+  EXPECT_DEATH(build(kMaxPartitions + 1, 0), "CORRTRACK_CHECK");
+  // Elastic spares count too.
+  EXPECT_DEATH(build(10, kMaxPartitions + 1), "CORRTRACK_CHECK");
+  build(10, kMaxPartitions);
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ TEST(HashBaseline, RoughlyBalancedTags) {
   const double expected =
       static_cast<double>(snap.num_tags()) / static_cast<double>(k);
   for (int p = 0; p < k; ++p) {
-    EXPECT_NEAR(static_cast<double>(ps.partition(p).size()), expected,
+    EXPECT_NEAR(static_cast<double>(ps.PartitionSize(p)), expected,
                 0.25 * expected);
   }
 }

@@ -129,7 +129,6 @@ TEST(PartitionerBolt, ProposesFromWindowOnRequest) {
   EXPECT_EQ(proposals[0].partitioner, 3);
   // DS proposes its disjoint sets: {1,2} and {3}.
   ASSERT_EQ(proposals[0].fragments.size(), 2u);
-  EXPECT_EQ(proposals[0].window_tagsets.size(), 2u);
 }
 
 TEST(PartitionerBolt, DuplicateTokenIgnored) {
@@ -173,7 +172,6 @@ PartitionProposal Proposal(uint32_t token, int partitioner,
     fragment.tags = tags;
     fragment.load = load;
     p.fragments.push_back(fragment);
-    p.window_tagsets.emplace_back(tags, load);
   }
   return p;
 }

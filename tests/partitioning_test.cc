@@ -1,6 +1,8 @@
 #include "core/partitioning.h"
 
+#include <cstdio>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "core/scl_algorithm.h"
 #include "core/set_cover_phase1.h"
 #include "core/stats.h"
+#include "gen/tweet_generator.h"
 
 namespace corrtrack {
 namespace {
@@ -75,8 +78,8 @@ TEST(DsAlgorithm, Figure1TwoPartitions) {
   // partition 1.
   EXPECT_EQ(ps.load(0), 18u);
   EXPECT_EQ(ps.load(1), 3u);
-  EXPECT_EQ(ps.partition(0).size(), 6u);
-  EXPECT_EQ(ps.partition(1).size(), 3u);
+  EXPECT_EQ(ps.PartitionSize(0), 6u);
+  EXPECT_EQ(ps.PartitionSize(1), 3u);
 }
 
 TEST(DsAlgorithm, BinPacksLeastLoadedFirst) {
@@ -106,8 +109,8 @@ TEST(DsAlgorithm, FewerComponentsThanPartitions) {
   const PartitionSet ps =
       DsAlgorithm().CreatePartitions(snap, 4, /*seed=*/0);
   ExpectCoverage(snap, ps);
-  EXPECT_EQ(ps.partition(0).size(), 2u);
-  for (int p = 1; p < 4; ++p) EXPECT_TRUE(ps.partition(p).empty());
+  EXPECT_EQ(ps.PartitionSize(0), 2u);
+  for (int p = 1; p < 4; ++p) EXPECT_EQ(ps.PartitionSize(p), 0u);
 }
 
 TEST(DsAlgorithm, ProposeFragmentsAreTheComponents) {
@@ -137,7 +140,10 @@ TEST(SetCoverPhase1, CommunicationCostPrefersUncovered) {
   // less popular.
   EXPECT_TRUE(result.partitions.PartitionContains(1, 5));
   EXPECT_TRUE(result.partitions.PartitionContains(1, 6));
-  EXPECT_EQ(result.covered.size(), 5u);
+  // CV = {1,2,3,5,6}: tagset {3,4} has one covered tag, the others all.
+  EXPECT_EQ(result.covered.CountCovered(0), 3u);
+  EXPECT_EQ(result.covered.CountCovered(1), 1u);
+  EXPECT_EQ(result.covered.CountCovered(2), 2u);
 }
 
 TEST(SetCoverPhase1, ZeroCostIsPlainMaxCoverage) {
@@ -164,7 +170,7 @@ TEST(SetCoverPhase1, FewerTagsetsThanK) {
   const Phase1Result result = RunSetCoverPhase1(snap, 5, Phase1Cost::kZero);
   EXPECT_EQ(result.partitions.num_partitions(), 5);
   EXPECT_TRUE(result.assigned[0]);
-  EXPECT_TRUE(result.partitions.partition(1).empty());
+  EXPECT_EQ(result.partitions.PartitionSize(1), 0u);
 }
 
 // Shared invariants for all four algorithms on random workloads.
@@ -362,6 +368,108 @@ TEST(DsSplitAlgorithm, NoSplitWhenBalanced) {
           .CreatePartitions(snap, 2, 0);
   for (int p = 0; p < 2; ++p) {
     EXPECT_EQ(plain.SortedTags(p), split.SortedTags(p));
+  }
+}
+
+// Golden fingerprints: every partition's sorted tags and load, for each
+// algorithm on a fixed-seed generator window and on a Merger round built
+// from ten Partitioner proposals. The constants were captured from the
+// node-based (unordered_set) PartitionSet and set cover that the flat
+// kernels replaced; any change to tie-breaking, iteration order or load
+// bookkeeping shows up here as a different fingerprint.
+uint64_t Fingerprint(const PartitionSet& ps) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a over 64-bit words.
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<uint64_t>(ps.num_partitions()));
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    const std::vector<TagId> tags = ps.SortedTags(p);
+    mix(tags.size());
+    for (TagId t : tags) mix(t);
+    mix(ps.load(p));
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::vector<Document> GoldenDocs(int n) {
+  gen::GeneratorConfig config;
+  config.seed = 31;
+  gen::TweetGenerator generator(config);
+  std::vector<Document> docs;
+  docs.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) docs.push_back(generator.Next());
+  return docs;
+}
+
+/// One repartition round: ten Partitioners propose fragments over
+/// round-robin shares of `docs`, and the Merger re-runs the algorithm over
+/// the fragments (weight = fragment load, at least 1).
+PartitionSet MergerRound(const PartitioningAlgorithm& algorithm,
+                         const std::vector<Document>& docs, int k) {
+  constexpr int kPartitioners = 10;
+  std::vector<std::pair<TagSet, uint64_t>> weighted;
+  for (int i = 0; i < kPartitioners; ++i) {
+    std::vector<Document> share;
+    for (size_t d = static_cast<size_t>(i); d < docs.size();
+         d += kPartitioners) {
+      share.push_back(docs[d]);
+    }
+    const auto snap =
+        CooccurrenceSnapshot::FromDocuments(share.begin(), share.end());
+    for (PartitionFragment& fragment :
+         algorithm.ProposeFragments(snap, k, 7 + static_cast<uint64_t>(i))) {
+      weighted.emplace_back(std::move(fragment.tags),
+                            fragment.load > 0 ? fragment.load : 1);
+    }
+  }
+  const auto merged =
+      CooccurrenceSnapshot::FromWeightedTagsets(std::move(weighted));
+  return algorithm.CreatePartitions(merged, k, 11);
+}
+
+TEST(PartitionGolden, FingerprintsMatchReference) {
+  const std::vector<Document> docs = GoldenDocs(8000);
+  const auto snap = CooccurrenceSnapshot::FromDocuments(docs.begin(),
+                                                        docs.end());
+  const std::vector<Document> round_docs = GoldenDocs(40000);
+  struct Case {
+    std::string name;
+    std::string expected;
+    PartitionSet actual;
+  };
+  const std::vector<Case> cases = {
+      {"DS", "bbdc8a5a03ab63a3",
+       MakeAlgorithm(AlgorithmKind::kDS)->CreatePartitions(snap, 10, 7)},
+      {"SCC", "cd72c106fbdfb7b1",
+       MakeAlgorithm(AlgorithmKind::kSCC)->CreatePartitions(snap, 10, 7)},
+      {"SCL", "3e4f2bc7dca77a7e",
+       MakeAlgorithm(AlgorithmKind::kSCL)->CreatePartitions(snap, 10, 7)},
+      {"SCI", "1174f8a6993220b4",
+       MakeAlgorithm(AlgorithmKind::kSCI)->CreatePartitions(snap, 10, 7)},
+      {"DsSplit", "5586b08c0a256f7e",
+       DsSplitAlgorithm(0.05).CreatePartitions(snap, 10, 7)},
+      {"DS round", "2de8a06de2db627b",
+       MergerRound(*MakeAlgorithm(AlgorithmKind::kDS), round_docs, 10)},
+      {"SCC round", "d54b42d5383c3149",
+       MergerRound(*MakeAlgorithm(AlgorithmKind::kSCC), round_docs, 10)},
+      {"SCL round", "862157fa5b816d43",
+       MergerRound(*MakeAlgorithm(AlgorithmKind::kSCL), round_docs, 10)},
+      {"SCI round", "03aa3fcfd05951ca",
+       MergerRound(*MakeAlgorithm(AlgorithmKind::kSCI), round_docs, 10)},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Hex(Fingerprint(c.actual)), c.expected) << c.name;
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include "exp/driver.h"
 #include "gen/tweet_generator.h"
+#include "ops/disseminator_op.h"
 #include "ops/source.h"
 #include "ops/topology_builder.h"
 #include "ops/tracker_op.h"
@@ -475,6 +476,47 @@ TEST(TelemetryDifferential, PeriodMapsIdenticalWithTelemetryOnAndOff) {
     }
     ++it_on;
   }
+}
+
+class RoutedCounter : public ops::MetricsSink {
+ public:
+  void OnRouted(int /*notified*/, Timestamp /*time*/) override { ++routed; }
+  uint64_t routed = 0;
+};
+
+TEST(TelemetryCounters, EveryTaggedDocumentIsRoutedOrCountedAsDropped) {
+  // The Disseminator routes nothing before the first install; those
+  // documents must show up in corrtrack_docs_dropped_total so that
+  // dropped + routed accounts for every tagged document the Parser emits.
+  constexpr uint64_t kDocs = 20000;
+  telemetry::PipelineTelemetry telemetry(/*sample_every=*/64);
+  ops::PipelineConfig pipeline = DiffPipeline();
+  pipeline.telemetry = &telemetry;
+  RoutedCounter routed;
+  stream::Topology<ops::Message> topology;
+  const ops::TopologyHandles handles = ops::BuildCorrelationTopology(
+      &topology, std::make_unique<ops::GeneratorSpout>(DiffWorkload(), kDocs),
+      pipeline, &routed, /*with_centralized_baseline=*/false);
+  auto runtime = ops::MakeConfiguredRuntime(&topology, pipeline);
+  runtime->Run(pipeline.report_period);
+
+  gen::TweetGenerator generator(DiffWorkload());
+  uint64_t tagged = 0;
+  for (uint64_t i = 0; i < kDocs; ++i) {
+    if (!generator.Next().tags.empty()) ++tagged;
+  }
+  const auto* disseminator = static_cast<const ops::DisseminatorBolt*>(
+      runtime->bolt(handles.disseminator, 0));
+  const uint64_t dropped = disseminator->docs_dropped_pre_bootstrap();
+  EXPECT_GT(dropped, 0u);  // Documents before bootstrap_time.
+  EXPECT_GT(routed.routed, 0u);
+  EXPECT_EQ(dropped + routed.routed, tagged);
+  EXPECT_EQ(telemetry.docs_parsed->value(), kDocs);
+  EXPECT_EQ(telemetry.docs_dropped_pre_bootstrap->value(), dropped);
+  EXPECT_NE(RenderPrometheus(telemetry.registry.Snapshot())
+                .find("corrtrack_docs_dropped_total{reason=\"pre_bootstrap\"} " +
+                      std::to_string(dropped)),
+            std::string::npos);
 }
 
 TEST(TelemetryDriver, ExperimentSurfacesLatencyPercentiles) {
